@@ -300,8 +300,10 @@ impl PairDriver {
     ///   has not yet arrived (`pending_mismatch`),
     /// * the defensive recovery-escalation timeout while a re-execution is
     ///   in flight,
-    /// * uncompared events sitting in both comparison queues (possible only
-    ///   transiently; the comparator must run on the next cycle).
+    /// * uncompared events sitting in both comparison queues while no
+    ///   mismatch is pending (possible only transiently; the comparator
+    ///   must run on the next cycle). A pending mismatch suspends the
+    ///   comparator until its detection time, which is already noted.
     ///
     /// `None` means the pair is permanently idle absent external input.
     pub fn next_activity_at(&self, from: Cycle) -> Option<Cycle> {
@@ -325,7 +327,10 @@ impl PairDriver {
             let escalate = self.recovery_started + self.recovery_timeout + 1;
             horizon.note(Cycle::new(escalate).max(from));
         }
-        if !self.vocal_events.is_empty() && !self.mute_events.is_empty() {
+        if self.pending_mismatch.is_none()
+            && !self.vocal_events.is_empty()
+            && !self.mute_events.is_empty()
+        {
             horizon.note(from);
         }
         horizon.next_ready()
@@ -533,9 +538,6 @@ impl PairDriver {
             }
             // Both halves have reached the first memory read: issue one
             // synchronizing request on behalf of the pair.
-            if std::env::var("REUNION_DEBUG_SYNC").is_ok() {
-                eprintln!("sync addr={:#x}", v.addr.as_u64());
-            }
             self.stats.sync_requests.incr();
             let outcome = mem.sync_access(now, self.vocal.l1(), self.mute.l1(), v.addr, v.rmw);
             // The fulfilled instruction's fingerprint interval is the one
@@ -887,29 +889,39 @@ mod tests {
 
     #[test]
     fn pending_mismatch_deadline_is_reported() {
-        let mut rig = Rig::new(counting_loop(), false);
+        // Every interval ends in a trap: after the differing interval both
+        // front ends wait for a drain the pending mismatch holds up.
+        let serial_loop = vec![I::add_imm(r(1), r(1), 1), I::trap(), I::jump(0)];
+        let mut rig = Rig::new(serial_loop, false);
+        rig.pair.comparison_latency = 100;
         rig.pair.mute_mut().inject_soft_error_at(50, 7);
         // Run until the mismatch is detected but its physical comparison
         // time has not yet arrived.
         let mut deadline = None;
-        for _ in 0..5_000 {
-            rig.pair
-                .tick(Cycle::new(rig.now), &mut rig.mem, &mut rig.bus);
-            rig.now += 1;
+        for _ in 0..20_000 {
+            rig.run(1);
             if let Some(at) = rig.pair.pending_mismatch {
                 deadline = Some(at);
                 break;
             }
         }
         let at = deadline.expect("soft error must raise a deferred mismatch");
-        let next = rig
-            .pair
-            .next_activity_at(Cycle::new(rig.now))
-            .expect("pair is mid-protocol, not idle");
-        assert!(
-            next <= at,
-            "horizon {next:?} must not overshoot the mismatch deadline {at:?}"
-        );
+        // Step until neither core can act before the deadline.
+        let waits = |core: &Core, now: u64| {
+            core.next_activity_at(Cycle::new(now))
+                .map_or(true, |c| c >= at)
+        };
+        while !(waits(rig.pair.vocal(), rig.now) && waits(rig.pair.mute(), rig.now)) {
+            rig.run(1);
+            assert!(
+                Cycle::new(rig.now) < at,
+                "cores stayed busy up to the deadline"
+            );
+        }
+        // Both comparison queues still hold the differing fingerprints,
+        // but the comparator is suspended until the deadline.
+        assert!(!rig.pair.vocal_events.is_empty() && !rig.pair.mute_events.is_empty());
+        assert_eq!(rig.pair.next_activity_at(Cycle::new(rig.now)), Some(at));
     }
 
     #[test]

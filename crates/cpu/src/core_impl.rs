@@ -574,9 +574,16 @@ impl Core {
     ///   engine steps cycle-by-cycle through the round-trip stall window and
     ///   the `serializing_stall_cycles` counter matches dense execution
     ///   exactly.
-    /// * **Dispatch** — `fetch_free` (mispredict/TLB refill) when no
-    ///   structural condition (halt, full ROB, serializing drain, pending
-    ///   synchronizing request, single-step occupancy) blocks the front end.
+    /// * **Dispatch** — `fetch_free` (mispredict/TLB refill) when nothing
+    ///   blocks the front end. It is blocked by a halt, a full ROB, a
+    ///   pending synchronizing request, single-step occupancy, a dispatched
+    ///   serializing instruction, or a next instruction on which dispatch
+    ///   is certain to stop without changing state: a serializing one
+    ///   behind a non-empty ROB with no open interval left to emit, or a
+    ///   store facing a full store buffer (see `dispatch_stalls`; a
+    ///   scheduled interrupt or a halting fetch never counts as stalled).
+    ///   Only retirement clears these blocks, and the retirement bullet
+    ///   covers it.
     /// * **Pending check events** — fingerprints emitted after the pair
     ///   driver's collection point (synchronizing-request fulfillment) must
     ///   be compared on the next cycle.
@@ -590,7 +597,8 @@ impl Core {
             || self.pending_sync.is_some()
             || self.serializing_block
             || self.rob.len() >= self.cfg.rob_entries
-            || (self.single_step && !self.rob.is_empty());
+            || (self.single_step && !self.rob.is_empty())
+            || self.dispatch_stalls();
         // Fast path: an unblocked front end dispatches on the very next
         // cycle — no candidate can be earlier, so skip the retire-side
         // bookkeeping entirely. This keeps the skip engine's per-tick
@@ -739,6 +747,51 @@ impl Core {
     // Dispatch: functional execution plus forward timing.
     // ------------------------------------------------------------------
 
+    /// The instruction [`dispatch`](Self::dispatch) considers next: the
+    /// front of the injected trap/handler queue, else the program
+    /// instruction at the speculative PC. `None` when fetch runs off the
+    /// program or reaches a `Halt` — dispatching it halts the core.
+    fn next_fetch(&self) -> Option<Instruction> {
+        match self.inject.front() {
+            Some(&inst) => Some(inst),
+            None => self
+                .program
+                .fetch(self.spec.pc)
+                .filter(|i| i.op != Opcode::Halt)
+                .copied(),
+        }
+    }
+
+    /// Whether `op` must wait for an empty ROB before it dispatches: an
+    /// inherently serializing opcode, or any store under SC.
+    fn serializes(&self, op: Opcode) -> bool {
+        op.is_serializing() || (self.cfg.store_serializes() && op == Opcode::Store)
+    }
+
+    /// Whether [`dispatch`](Self::dispatch) is certain to stop at the next
+    /// instruction without changing any state, in a way only retirement can
+    /// undo: a serializing instruction behind a non-empty ROB with no open
+    /// fingerprint interval left to emit, or a store facing a full store
+    /// buffer. A scheduled interrupt or a halting fetch changes state in
+    /// `dispatch`, so neither counts as stalled.
+    fn dispatch_stalls(&self) -> bool {
+        if self.interrupt_at_interval.is_some() {
+            return false;
+        }
+        let Some(inst) = self.next_fetch() else {
+            return false;
+        };
+        if self.serializes(inst.op) {
+            if self.cfg.checking && self.fp.pending() > 0 {
+                return false;
+            }
+            if !self.rob.is_empty() {
+                return true;
+            }
+        }
+        inst.op.is_store() && self.sb_count >= self.cfg.sb_entries
+    }
+
     /// `mem` is `None` only from the compute phase (strict-LVQ cores,
     /// whose loads and atomics never leave the core); a memory access with
     /// `None` is a classifier bug and panics.
@@ -774,25 +827,12 @@ impl Core {
             }
 
             let from_inject = !self.inject.is_empty();
-            let inst = if from_inject {
-                *self.inject.front().expect("nonempty queue")
-            } else {
-                match self.program.fetch(self.spec.pc) {
-                    None => {
-                        self.halted = true;
-                        break;
-                    }
-                    Some(i) if i.op == Opcode::Halt => {
-                        self.halted = true;
-                        break;
-                    }
-                    Some(i) => *i,
-                }
+            let Some(inst) = self.next_fetch() else {
+                self.halted = true;
+                break;
             };
 
-            let serializing = inst.op.is_serializing()
-                || (self.cfg.store_serializes() && inst.op == Opcode::Store);
-
+            let serializing = self.serializes(inst.op);
             if serializing {
                 // End the open fingerprint interval so older instructions
                 // can retire before the serializing instruction executes.
@@ -1613,6 +1653,87 @@ mod tests {
             at,
         });
         assert_eq!(core.next_activity_at(Cycle::new(now)), Some(at));
+    }
+
+    /// Asserts `core` reports its next activity strictly after `now`, then
+    /// steps it densely up to that bound and checks every cycle in between
+    /// really was a no-op. Returns the bound.
+    fn assert_waits_past(core: &mut Core, mem: &mut MemorySystem, now: u64) -> u64 {
+        let next = core
+            .next_activity_at(Cycle::new(now))
+            .expect("the ROB head completes on its own")
+            .as_u64();
+        assert!(
+            next > now,
+            "blocked front end reported cycle {next} at {now}"
+        );
+        let retired = core.stats().retired_total.value();
+        for c in now..next {
+            core.tick(Cycle::new(c), mem);
+        }
+        assert_eq!(core.stats().retired_total.value(), retired);
+        assert_eq!(
+            core.next_activity_at(Cycle::new(next)),
+            Some(Cycle::new(next))
+        );
+        next
+    }
+
+    #[test]
+    fn serializing_drain_blocks_the_front_end() {
+        // The membar must wait for the load miss ahead of it to retire.
+        let code = vec![
+            I::load_imm(r(1), 0x900),
+            I::load(r(2), r(1), 0),
+            I::membar(),
+            I::add_imm(r(3), r(3), 1),
+            I::halt(),
+        ];
+        let program = Arc::new(Program::new("drain", code).unwrap());
+        let mut mem = MemorySystem::new(MemConfig::small());
+        let l1 = mem.register_l1(Owner::vocal(0));
+        let mut core = Core::new(CoreConfig::default(), program, l1, 7);
+        for c in 0..4 {
+            core.tick(Cycle::new(c), &mut mem);
+        }
+        assert_eq!(core.stats().serializing.value(), 0);
+        let next = assert_waits_past(&mut core, &mut mem, 4);
+        for c in next..2_000 {
+            core.tick(Cycle::new(c), &mut mem);
+        }
+        assert!(core.is_halted());
+        assert_eq!(core.stats().serializing.value(), 1);
+    }
+
+    #[test]
+    fn full_store_buffer_blocks_the_front_end() {
+        // Two store-buffer entries fill behind a load miss; the third store
+        // waits for retirement to free one.
+        let code = vec![
+            I::load_imm(r(1), 0x900),
+            I::load(r(2), r(1), 0),
+            I::store(r(1), r(1), 8),
+            I::store(r(1), r(1), 16),
+            I::store(r(1), r(1), 24),
+            I::halt(),
+        ];
+        let program = Arc::new(Program::new("sb", code).unwrap());
+        let mut mem = MemorySystem::new(MemConfig::small());
+        let l1 = mem.register_l1(Owner::vocal(0));
+        let cfg = CoreConfig {
+            sb_entries: 2,
+            ..CoreConfig::default()
+        };
+        let mut core = Core::new(cfg, program, l1, 7);
+        for c in 0..4 {
+            core.tick(Cycle::new(c), &mut mem);
+        }
+        let next = assert_waits_past(&mut core, &mut mem, 4);
+        for c in next..2_000 {
+            core.tick(Cycle::new(c), &mut mem);
+        }
+        assert!(core.is_halted());
+        assert_eq!(mem.peek_coherent(Addr::new(0x900 + 24)), 0x900);
     }
 
     #[test]

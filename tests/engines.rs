@@ -3,9 +3,10 @@
 //! The time-skipping engine must be *observationally identical* to dense
 //! cycle stepping: every measured counter, every IPC figure, every byte of
 //! a `BENCH_<id>.json` report. These tests drive randomized grids of
-//! (workload, mode, latency, seed) points through both engines and demand
-//! exact equality — plus a nonzero skip count, so the skip engine cannot
-//! trivially pass by degenerating into dense stepping.
+//! (workload, mode, latency, phantom, consistency, TLB, seed) points
+//! through both engines and demand exact equality — plus a nonzero skip
+//! count, so the skip engine cannot trivially pass by degenerating into
+//! dense stepping.
 //!
 //! The case stream is seeded by `REUNION_PROP_SEED` (a u64; default below),
 //! never by wall-clock time, so failures replay exactly.
@@ -13,7 +14,9 @@
 use reunion_core::{
     measure, normalized_ipc, Engine, ExecutionMode, Measurement, SampleConfig, SystemConfig,
 };
+use reunion_cpu::{Consistency, TlbMode};
 use reunion_kernel::SimRng;
+use reunion_mem::PhantomStrength;
 use reunion_workloads::{kernel_suite, suite, Workload};
 
 const DEFAULT_SEED: u64 = 0xE16_16E5;
@@ -38,9 +41,24 @@ fn face(m: &Measurement) -> (u64, u64, reunion_core::SystemStats, usize, &'stati
     )
 }
 
+/// Draws the knobs that move the skip engine's activity bounds: the
+/// comparison latency, the phantom strength (weak phantoms make deferred
+/// mismatches common), the consistency model (SC serializes every store)
+/// and the TLB model (software handlers are serializing traps).
 fn random_config(rng: &mut SimRng, mode: ExecutionMode) -> SystemConfig {
     let mut cfg = SystemConfig::small_test(mode);
     cfg.comparison_latency = [0, 10, 20, 40][(rng.next_u64() % 4) as usize];
+    cfg.phantom = PhantomStrength::ALL[(rng.next_u64() % 3) as usize];
+    cfg.consistency = if rng.chance(0.5) {
+        Consistency::Tso
+    } else {
+        Consistency::Sc
+    };
+    cfg.tlb = if rng.chance(0.5) {
+        TlbMode::default()
+    } else {
+        TlbMode::Software
+    };
     cfg.seed = rng.next_u64();
     cfg
 }
@@ -79,9 +97,12 @@ fn randomized_measurements_are_engine_invariant() {
         assert_eq!(
             face(&dense),
             face(&skip),
-            "case {case}: {mode} {} lat={} diverged between engines",
+            "case {case}: {mode} {} lat={} {:?} {:?} {:?} diverged between engines",
             workload.name(),
             cfg.comparison_latency,
+            cfg.phantom,
+            cfg.consistency,
+            cfg.tlb,
         );
         assert_eq!(dense.skipped_cycles, 0, "dense never goes quiescent here");
         total_skipped += skip.skipped_cycles;
@@ -268,6 +289,43 @@ fn intracell_parallel_compute_is_byte_identical() {
             );
         }
     }
+}
+
+/// Interrupts delivered between runs reach the dispatch stage of both
+/// halves of every pair; the skip engine's bounds must not step over the
+/// cycle a scheduled interrupt is injected at. Each run segment's window
+/// statistics agree exactly between engines.
+#[test]
+fn interrupt_delivery_is_engine_invariant() {
+    use reunion_core::CmpSystem;
+    let workload = Workload::by_name("apache").expect("suite workload");
+    let mut cfg = SystemConfig::small_test(ExecutionMode::Reunion);
+    cfg.comparison_latency = 40;
+    cfg.phantom = PhantomStrength::Null;
+
+    let segments = |cfg: &SystemConfig, interrupts: bool| {
+        let mut sys = CmpSystem::new(cfg, &workload);
+        sys.run(4_000);
+        let mut stats = Vec::new();
+        for lp in [0, 1, 0] {
+            if interrupts {
+                sys.deliver_interrupt(lp);
+            }
+            sys.begin_window();
+            sys.run(3_000);
+            stats.push(sys.window_stats());
+        }
+        (stats, sys.skipped_cycles())
+    };
+    cfg.engine = Engine::Dense;
+    let (dense, _) = segments(&cfg, true);
+    let (quiet, _) = segments(&cfg, false);
+    cfg.engine = Engine::Skip;
+    let (skip, skipped) = segments(&cfg, true);
+
+    assert_ne!(dense, quiet, "the interrupts must change the run");
+    assert_eq!(dense, skip);
+    assert!(skipped > 0, "the skip engine never skipped a cycle");
 }
 
 /// The skip engine clips at `run` boundaries, so arbitrary window layouts
